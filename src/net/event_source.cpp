@@ -36,6 +36,11 @@ Status SocketEventSource::update_interest(int fd, uint32_t interest) {
   return poller_.modify(fd, interest);
 }
 
+Status SocketEventSource::add_wakeup_fd(int fd) {
+  wakeup_fd_ = fd;
+  return poller_.add(fd, kReadable);
+}
+
 Status SocketEventSource::deregister(int fd) {
   handlers_.erase(fd);
   return poller_.remove(fd);
@@ -47,6 +52,10 @@ Status SocketEventSource::poll(std::vector<ReadyCallback>& out,
   auto n = poller_.wait(scratch_, timeout_ms);
   if (!n.is_ok()) return n.status();
   for (const auto& ready : scratch_) {
+    if (ready.fd == wakeup_fd_) {
+      wakeup_ready_ = true;
+      continue;
+    }
     auto it = handlers_.find(ready.fd);
     if (it == handlers_.end()) continue;  // deregistered concurrently
     const int fd = ready.fd;
@@ -87,20 +96,22 @@ UserEventSource::UserEventSource(std::unique_ptr<EventSource> inner,
                                  SocketEventSource& base)
     : EventSourceDecorator(std::move(inner)),
       wakeup_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
-      base_poller_(&base.poller()) {
-  // Register the wakeup fd with a null handler: readiness only interrupts
-  // the poll; the queued callbacks are drained in poll() below.
-  base.poller().add(wakeup_fd_.get(), kReadable);
+      base_(base) {
+  // The wakeup fd has no handler: readiness only interrupts the poll; the
+  // queued callbacks are drained in poll() below.
+  base_.add_wakeup_fd(wakeup_fd_.get());
 }
 
-void UserEventSource::post(std::function<void()> fn) {
+void UserEventSource::post(std::function<void()> fn, bool wake) {
   queue_.push(std::move(fn));
-  const uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wakeup_fd_.get(), &one, sizeof(one));
+  if (wake && !wakeup_pending_.exchange(true)) {
+    const uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(wakeup_fd_.get(), &one, sizeof(one));
+  }
   // The eventfd is a real descriptor, so under simulation the write above
   // wakes nothing — tell the simulator directly which poller has work.
   if (auto* sim = sim_backend(); sim != nullptr) [[unlikely]] {
-    sim->sim_notify(base_poller_);
+    sim->sim_notify(&base_.poller());
   }
 }
 
@@ -109,16 +120,21 @@ int UserEventSource::preferred_timeout_ms(int proposed) const {
   return inner().preferred_timeout_ms(proposed);
 }
 
-void UserEventSource::drain_wakeup() {
-  uint64_t counter = 0;
-  while (::read(wakeup_fd_.get(), &counter, sizeof(counter)) > 0) {
-  }
-}
-
 Status UserEventSource::poll(std::vector<ReadyCallback>& out, int timeout_ms) {
   auto status = inner().poll(out, timeout_ms);
   if (!status.is_ok()) return status;
-  drain_wakeup();
+  // One read resets the eventfd counter, however many posts wrote it.  It
+  // is read only when the poll reported it readable, so it never hits
+  // EAGAIN; a write that lands after the read leaves the fd readable and is
+  // consumed by the next poll, never spun on.
+  if (base_.take_wakeup()) {
+    uint64_t counter = 0;
+    [[maybe_unused]] ssize_t n =
+        ::read(wakeup_fd_.get(), &counter, sizeof(counter));
+  }
+  // Re-open the wakeup before draining: a post that misses this drain sees
+  // the flag clear and writes the eventfd for the next poll.
+  wakeup_pending_.exchange(false);
   while (auto fn = queue_.try_pop()) {
     out.push_back(std::move(*fn));
   }

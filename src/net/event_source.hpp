@@ -12,9 +12,11 @@
 // mechanism the paper calls out for unanticipated event sources.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/mpmc_queue.hpp"
@@ -61,8 +63,14 @@ class SocketEventSource : public EventSource {
   }
   Status poll(std::vector<ReadyCallback>& out, int timeout_ms) override;
 
-  // Used by UserEventSource to install its wakeup descriptor.
+  // The demultiplexer itself (its backend; the simulator's key for it).
   Poller& poller() { return poller_; }
+  // Registers `fd` as the handler-less wakeup descriptor; poll() then only
+  // records its readiness, which take_wakeup() reports once and clears.
+  Status add_wakeup_fd(int fd);
+  [[nodiscard]] bool take_wakeup() {
+    return std::exchange(wakeup_ready_, false);
+  }
 
  private:
   // Registrations are generation-stamped: a ready callback dispatched later
@@ -77,6 +85,8 @@ class SocketEventSource : public EventSource {
   std::unordered_map<int, Registration> handlers_;
   std::vector<ReadyFd> scratch_;
   uint64_t next_generation_ = 1;
+  int wakeup_fd_ = -1;
+  bool wakeup_ready_ = false;
 };
 
 // Decorator base: forwards everything to the wrapped source.
@@ -131,15 +141,20 @@ class TimerEventSource : public EventSourceDecorator {
 };
 
 // Adds a thread-safe queue of posted callbacks, with an eventfd wakeup so a
-// post from an Event Processor thread interrupts the blocked poll.
+// post from an Event Processor thread interrupts the blocked poll.  Wakeups
+// coalesce: the eventfd is written only by the first post after a poll, so
+// a burst of completions costs the reactor one wakeup, not one per post.
 class UserEventSource : public EventSourceDecorator {
  public:
   // `base` must be the underlying SocketEventSource (for wakeup-fd
   // registration); `inner` is the decorated chain to wrap.
   UserEventSource(std::unique_ptr<EventSource> inner, SocketEventSource& base);
 
-  // Thread-safe: queues `fn` for execution on the reactor thread.
-  void post(std::function<void()> fn);
+  // Thread-safe: queues `fn` for execution on the reactor thread.  `wake` =
+  // false when the caller *is* the polling thread: its next poll sees the
+  // non-empty queue through preferred_timeout_ms() and does not block, so
+  // no eventfd write is needed (the SPED self-post).
+  void post(std::function<void()> fn, bool wake = true);
 
   [[nodiscard]] int preferred_timeout_ms(int proposed) const override;
   Status poll(std::vector<ReadyCallback>& out, int timeout_ms) override;
@@ -147,14 +162,12 @@ class UserEventSource : public EventSourceDecorator {
   [[nodiscard]] size_t pending_posts() const { return queue_.size(); }
 
  private:
-  void drain_wakeup();
-
   MpmcQueue<std::function<void()>> queue_;
   Fd wakeup_fd_;
-  // Identity of the reactor's poller, as registered with the transport seam.
-  // post() forwards it to SimBackend::sim_notify so a cross-thread post also
-  // wakes the reactor under simulation, where the eventfd write is inert.
-  Poller* base_poller_;
+  SocketEventSource& base_;
+  // True from the first post that writes the eventfd until the next poll
+  // drains the queue; later posts in between skip the write.
+  std::atomic<bool> wakeup_pending_{false};
 };
 
 }  // namespace cops::net

@@ -43,6 +43,8 @@ void Reactor::run() {
     run_once(500);
   }
   running_.store(false);
+  // Posts from this thread must wake whichever thread polls next.
+  loop_thread_id_.store(std::thread::id{});
 }
 
 void Reactor::stop() {

@@ -48,8 +48,12 @@ class Reactor {
   void cancel_timer(TimerQueue::TimerId id) { timers_->cancel(id); }
 
   // ---- cross-thread -----------------------------------------------------
-  // Queues `fn` to run on the reactor thread (thread-safe).
-  void post(std::function<void()> fn) { user_events_->post(std::move(fn)); }
+  // Queues `fn` to run on the reactor thread (thread-safe).  A post from
+  // the loop thread itself runs on the loop's next pass without an eventfd
+  // wakeup.
+  void post(std::function<void()> fn) {
+    user_events_->post(std::move(fn), /*wake=*/!in_reactor_thread());
+  }
 
   // Runs the dispatch loop on the calling thread until stop().
   void run();

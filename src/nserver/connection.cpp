@@ -40,6 +40,7 @@ void Connection::start() {
     return;
   }
   registered_ = true;
+  armed_interest_ = net::kReadable;
   // on_connect hook: greeting etc.  Runs on the dispatcher; any send() it
   // performs is posted back to this reactor and ordered before request
   // replies.
@@ -57,7 +58,16 @@ void Connection::handle_event(int /*fd*/, uint32_t readiness) {
   }
   if ((readiness & net::kWritable) != 0) on_writable();
   if (closed()) return;
-  if ((readiness & net::kReadable) != 0 && want_read_) on_readable();
+  if ((readiness & net::kReadable) != 0) {
+    // Read interest is disarmed lazily: a readable event while the pipeline
+    // holds the token (pipelined bytes, a FIN) is left in the kernel and
+    // only now stops the level-triggered reports.
+    if (want_read_) {
+      on_readable();
+    } else {
+      update_interest();
+    }
+  }
 }
 
 void Connection::on_readable() {
@@ -82,20 +92,22 @@ void Connection::profiler_bytes_read(size_t n) {  // small indirection helper
 
 void Connection::start_pipeline() {
   // Pipeline token moves from the socket to the Event Processor: stop
-  // reading until this request cycle resolves.
+  // reading until this request cycle resolves.  The kernel's read interest
+  // stays armed (see handle_event): a non-pipelining peer sends nothing
+  // before the reply, so the disarm/re-arm pair would be pure overhead.
   want_read_ = false;
   pipeline_active_ = true;
   if (server_.options_.profiling) trace_.begin_request(trace_now_us());
-  update_interest();
   server_.submit_decode(shared_from_this());
 }
 
 void Connection::resume_reading() {
   if (closed()) return;
   pipeline_active_ = false;
-  // Decode said "need more".  A non-empty in-buffer means the peer is mid-
-  // request: start the slowloris clock (once — see partial_since()).  An
-  // empty buffer means we are cleanly between requests.
+  // Decode said "need more", or a reply drained with nothing buffered.  A
+  // non-empty in-buffer means the peer is mid-request: start the slowloris
+  // clock (once — see partial_since()).  An empty buffer means we are
+  // cleanly between requests.
   if (in_.empty()) {
     partial_since_ = TimePoint{};
   } else if (partial_since_ == TimePoint{}) {
@@ -117,8 +129,14 @@ void Connection::continue_pipeline() {
   // A request completed: whatever remains buffered is the *next* request,
   // which deserves a fresh slowloris window.
   partial_since_ = TimePoint{};
-  // More pipelined requests may already sit in the in-buffer; go around the
-  // Decode loop again before re-arming the socket.
+  // Nothing buffered: the token goes straight back to the socket — a
+  // Decode round trip through the processor could only answer kNeedMore.
+  if (in_.empty()) {
+    resume_reading();
+    return;
+  }
+  // More pipelined requests sit in the in-buffer; go around the Decode
+  // loop again before re-arming the socket.
   pipeline_active_ = true;
   if (server_.options_.profiling) trace_.begin_request(trace_now_us());
   server_.submit_decode(shared_from_this());
@@ -222,6 +240,8 @@ void Connection::update_interest() {
   uint32_t interest = 0;
   if (want_read_) interest |= net::kReadable;
   if (want_write_) interest |= net::kWritable;
+  if (interest == armed_interest_) return;
+  armed_interest_ = interest;
   reactor_.update_interest(socket_.fd(), interest);
 }
 

@@ -8,11 +8,19 @@
 // Reactor::post, which is what makes the hook code lock-free.
 //
 // Pipeline token invariant: per connection exactly one of these holds —
-//   (a) read interest is armed (waiting for request bytes),
+//   (a) the connection wants to read (waiting for request bytes),
 //   (b) an event for this connection is queued/executing in a processor, or
 //   (c) a reply is draining through the out buffer.
-// The token passes (a)→(b) on read, (b)→(c) on reply, (c)→(b) after the
-// reply drains (pipelined requests) or (c)→(a) when the in-buffer is empty.
+// The token passes (a)→(b) on read, (b)→(c) on reply, and after the reply
+// drains the reactor itself moves it (c)→(b) when the in-buffer holds
+// pipelined bytes, or (c)→(a) when it is empty — so Decode is only ever
+// submitted with at least one unconsumed byte.  (b)→(a) happens only when
+// Decode answers kNeedMore on a partial request.
+//
+// Read interest in the kernel is disarmed lazily: leaving (a) only clears
+// want_read_; the epoll/io_uring registration keeps kReadable until a
+// readable event arrives while want_read_ is false (pipelined bytes or a
+// FIN).  A non-pipelining peer therefore costs no interest changes at all.
 #pragma once
 
 #include <atomic>
@@ -54,7 +62,8 @@ class Connection : public net::EventHandler,
   // Thin forwarding overload for callers holding flat bytes (greetings,
   // raw sends); the string is moved, never copied, into the queue.
   void queue_send(std::string bytes, bool completes_request);
-  // Re-arms read interest (decode needs more data).
+  // Returns the token to the socket (decode needs more data, or nothing is
+  // buffered after a reply).
   void resume_reading();
   // Continues the pipeline without sending (finish()-style resolutions).
   void continue_pipeline();
@@ -151,6 +160,9 @@ class Connection : public net::EventHandler,
   std::atomic<bool> closed_{false};
   bool want_read_ = false;
   bool want_write_ = false;
+  // The interest currently registered with the reactor; update_interest()
+  // skips the syscall when want_read_/want_write_ would not change it.
+  uint32_t armed_interest_ = 0;
   bool registered_ = false;
   bool pipeline_active_ = false;
   bool reply_pending_drain_ = false;  // a completed reply is in out_

@@ -67,9 +67,12 @@ class AppHooks {
   virtual void on_close(uint64_t connection_id) { (void)connection_id; }
 
   // Decode Request step.  Consume bytes from `in` (leaving any trailing
-  // pipelined data for the next round).  Not called — and not required —
-  // when the server was configured without encoding/decoding (O3 = No,
-  // Fig. 2): the framework then delivers raw chunks straight to handle().
+  // pipelined data for the next round).  Only called with at least one
+  // unconsumed byte in `in`: between requests the framework waits on the
+  // socket itself rather than asking decode() about an empty buffer.  Not
+  // called — and not required — when the server was configured without
+  // encoding/decoding (O3 = No, Fig. 2): the framework then delivers raw,
+  // never-empty chunks straight to handle().
   virtual DecodeResult decode(RequestContext& ctx, ByteBuffer& in) {
     (void)ctx;
     (void)in;

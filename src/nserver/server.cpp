@@ -492,11 +492,8 @@ void Server::run_decode(const std::shared_ptr<Connection>& conn) {
     }
   } else {
     // Fig. 2 variant: no Decode step — raw chunks go straight to Handle.
-    if (conn->in_buffer().empty()) {
-      result = DecodeResult::need_more();
-    } else {
-      result = DecodeResult::request_ready(conn->in_buffer().take_string());
-    }
+    // The connection never submits an empty buffer (see connection.hpp).
+    result = DecodeResult::request_ready(conn->in_buffer().take_string());
   }
 
   switch (result.status) {
@@ -948,6 +945,14 @@ ProfilerSnapshot Server::profile() const {
         static_cast<double>(snapshot.l1_hits) / static_cast<double>(total);
   }
   return snapshot;
+}
+
+uint64_t Server::events_dispatched() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->reactor->events_dispatched();
+  }
+  return total;
 }
 
 StatsSnapshot Server::stats_snapshot() const {

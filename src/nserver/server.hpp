@@ -93,6 +93,9 @@ class Server {
     return overload_mgr_.get();
   }
   [[nodiscard]] ProfilerSnapshot profile() const;
+  // Events dispatched so far by every shard's reactor (sockets, timers and
+  // posted completions alike).
+  [[nodiscard]] uint64_t events_dispatched() const;
   // Everything the admin endpoint serves, in one consistent grab.
   [[nodiscard]] StatsSnapshot stats_snapshot() const;
   [[nodiscard]] FileCache* cache() { return cache_.get(); }

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "net/acceptor.hpp"
 #include "net/connector.hpp"
@@ -273,6 +274,12 @@ TEST(Reactor, PostFromMultipleThreads) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_EQ(count.load(), 2000);
+  // Once the burst is drained the loop parks: nothing left behind by the
+  // coalesced wakeups keeps it dispatching.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const uint64_t parked = reactor.events_dispatched();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(reactor.events_dispatched(), parked);
   reactor.stop();
   reactor.join();
 }
@@ -380,6 +387,87 @@ TEST(EventSourceDecorators, UserEventsInterruptBlockedPoll) {
   }
   EXPECT_TRUE(ran.load());
   EXPECT_LT(to_millis(now() - start), 400);
+  reactor.stop();
+  reactor.join();
+}
+
+// ---------- Wakeup coalescing ------------------------------------------------
+
+// Producers racing the loop: every post runs exactly once, in FIFO order per
+// producer, however the eventfd writes coalesce.  Afterwards the poll must
+// block again — a wakeup count left behind by a write that lost the race
+// with the loop's read may cost one extra pass, never a busy loop.
+TEST(UserEventSource, ConcurrentPostsRunOnceInOrderThenLoopBlocks) {
+  constexpr int kProducers = 4;
+  constexpr int kPosts = 20000;
+  Reactor reactor;
+  std::vector<std::vector<int>> seen(kProducers);
+  for (auto& v : seen) v.reserve(kPosts);
+  std::atomic<int> done{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPosts; ++i) {
+        reactor.post([&seen, &done, p, i] {
+          seen[static_cast<size_t>(p)].push_back(i);
+          done.fetch_add(1, std::memory_order_release);
+        });
+      }
+    });
+  }
+  // This thread is the loop: run_once without run(), so every post above is
+  // a cross-thread post that must wake it.
+  const auto deadline = now() + std::chrono::seconds(20);
+  while (done.load(std::memory_order_acquire) < kProducers * kPosts &&
+         now() < deadline) {
+    reactor.run_once(100);
+  }
+  for (auto& t : producers) t.join();
+  ASSERT_EQ(done.load(), kProducers * kPosts);
+  for (int p = 0; p < kProducers; ++p) {
+    const auto& got = seen[static_cast<size_t>(p)];
+    ASSERT_EQ(got.size(), static_cast<size_t>(kPosts)) << "producer " << p;
+    for (int i = 0; i < kPosts; ++i) {
+      ASSERT_EQ(got[static_cast<size_t>(i)], i) << "producer " << p;
+    }
+  }
+
+  reactor.run_once(0);  // absorbs at most one late wakeup write
+  const uint64_t before = reactor.events_dispatched();
+  const auto start = now();
+  EXPECT_EQ(reactor.run_once(100), 0u);
+  EXPECT_GE(to_millis(now() - start), 90) << "idle poll did not block";
+  EXPECT_EQ(reactor.events_dispatched(), before);
+}
+
+// A post from the loop thread writes no eventfd; the loop's next pass must
+// still pick it up at once instead of sleeping out its 500 ms poll cap.
+TEST(Reactor, SelfPostRunsOnNextPass) {
+  Reactor reactor;
+  std::atomic<bool> ran{false};
+  std::atomic<uint64_t> outer_pass{0};
+  std::atomic<uint64_t> inner_pass{0};
+  std::atomic<int64_t> delay_ms{-1};
+  std::atomic<bool> inner_on_loop{false};
+  reactor.start_thread();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // loop parked
+  reactor.post([&] {
+    outer_pass = reactor.events_dispatched();
+    const auto posted = now();
+    reactor.post([&, posted] {
+      inner_pass = reactor.events_dispatched();
+      inner_on_loop = reactor.in_reactor_thread();
+      delay_ms = to_millis(now() - posted);
+      ran = true;
+    });
+  });
+  for (int i = 0; i < 1000 && !ran; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(ran.load());
+  EXPECT_TRUE(inner_on_loop.load());
+  EXPECT_GT(inner_pass.load(), outer_pass.load());  // a later batch
+  EXPECT_LT(delay_ms.load(), 100);
   reactor.stop();
   reactor.join();
 }

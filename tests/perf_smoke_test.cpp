@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,8 @@
 #include "bench/overload_harness.hpp"
 #include "bench/scaleout_harness.hpp"
 #include "bench/send_path_harness.hpp"
+#include "http/http_server.hpp"
+#include "tests/test_util.hpp"
 
 namespace cops::bench {
 namespace {
@@ -236,6 +240,57 @@ TEST(PerfSmokeTest, CommittedScaleoutBaselineMatchesSchema) {
   // The committed artifact is the full run, with the 4-shard headline.
   EXPECT_NE(json.find("\"quick\": false"), std::string::npos);
   EXPECT_NE(json.find("\"shards\": 4"), std::string::npos);
+}
+
+// The keep-alive request cycle costs one Event Processor event: the Decode
+// that yields the request (Handle and Encode run inside it).  Between
+// requests the reactor re-arms the socket itself, so no empty-buffer Decode
+// round trip is paid; a regression to two processor hops per request shows
+// as 2.0 events per reply.
+TEST(PerfSmokeTest, KeepAliveRequestIsOneProcessorEvent) {
+  constexpr int kConnections = 4;
+  constexpr int kRequestsPerConnection = 500;
+  constexpr uint64_t kReplies = kConnections * kRequestsPerConnection;
+  test::TempDir docs;
+  docs.write_file("index.html", std::string(2048, 'k'));
+  auto options = http::CopsHttpServer::default_options();
+  options.profiling = true;
+  options.listen_port = 0;
+  http::HttpServerConfig config;
+  config.doc_root = docs.str();
+  http::CopsHttpServer server(options, config);
+  ASSERT_TRUE(server.start().is_ok());
+
+  std::atomic<int> ok{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&] {
+      test::BlockingClient client;
+      if (!client.connect("127.0.0.1", server.port())) return;
+      for (int i = 0; i < kRequestsPerConnection; ++i) {
+        const auto reply =
+            test::http_get(server.port(), "/index.html", true, &client);
+        if (reply.find(" 200 ") == std::string::npos) return;
+        ok.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  ASSERT_EQ(ok.load(), static_cast<int>(kReplies));
+  // A reply is counted once its bytes drained, which may trail the client.
+  auto profile = server.server().profile();
+  for (int i = 0; i < 1000 && profile.replies_sent < kReplies; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    profile = server.server().profile();
+  }
+  server.stop();
+  ASSERT_EQ(profile.replies_sent, kReplies);
+  const double events_per_reply =
+      static_cast<double>(profile.events_processed) /
+      static_cast<double>(profile.replies_sent);
+  EXPECT_LE(events_per_reply, 1.05)
+      << profile.events_processed << " processor events for "
+      << profile.replies_sent << " replies";
 }
 
 }  // namespace

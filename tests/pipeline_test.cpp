@@ -19,6 +19,11 @@ class ProbeHooks : public AppHooks {
   std::atomic<int> closes{0};
   std::atomic<int> handled{0};
   std::atomic<int> encoded{0};
+  std::atomic<int> decoded{0};
+  // decode() calls that broke the contract by passing an empty buffer, and
+  // handle() calls that received an empty request (a Fig. 2 raw chunk).
+  std::atomic<int> empty_decodes{0};
+  std::atomic<int> empty_requests{0};
   // When set, handle() resolves with finish() instead of replying.
   std::atomic<bool> silent{false};
   // When set, handle() defers its reply through an extra thread hop.
@@ -34,6 +39,8 @@ class ProbeHooks : public AppHooks {
   void on_close(uint64_t) override { closes.fetch_add(1); }
 
   DecodeResult decode(RequestContext&, ByteBuffer& in) override {
+    decoded.fetch_add(1);
+    if (in.empty()) empty_decodes.fetch_add(1);
     const size_t eol = in.find("\n");
     if (eol == std::string_view::npos) return DecodeResult::need_more();
     std::string line(in.view().substr(0, eol));
@@ -49,6 +56,7 @@ class ProbeHooks : public AppHooks {
           std::chrono::milliseconds(handle_delay_ms.load()));
     }
     auto line = std::any_cast<std::string>(std::move(request));
+    if (line.empty()) empty_requests.fetch_add(1);
     if (silent.load()) {
       ctx.finish();
       return;
@@ -170,6 +178,186 @@ TEST_F(PipelineFixture, PipelinedLinesAllEchoed) {
   EXPECT_NE(data.find("ECHO:b\n"), std::string::npos);
   EXPECT_NE(data.find("ECHO:c\n"), std::string::npos);
 }
+
+// ---- one processor round trip per request -----------------------------------
+//
+// After a reply drains with nothing buffered, the reactor returns the
+// pipeline token to the socket itself: Decode runs once per request, never
+// on an empty buffer, whatever the buffer management; the Fig. 2 path
+// (no Decode step) never hands Handle an empty chunk.
+
+struct DecodeCase {
+  BufferMgmt buffer_mgmt;
+  bool encode_decode;
+};
+
+std::string case_name(BufferMgmt buffer_mgmt) {
+  return buffer_mgmt == BufferMgmt::kPooled ? "Pooled" : "PerRequest";
+}
+
+std::string case_name(const DecodeCase& c) {
+  return case_name(c.buffer_mgmt) + (c.encode_decode ? "Decode" : "RawChunks");
+}
+
+// Names the parameter in test listings (the default prints raw bytes,
+// padding included).
+void PrintTo(const DecodeCase& c, std::ostream* os) { *os << case_name(c); }
+
+class DecodeCountTest : public PipelineFixture,
+                        public ::testing::WithParamInterface<DecodeCase> {
+ protected:
+  void start_case() {
+    ServerOptions options;
+    options.buffer_mgmt = GetParam().buffer_mgmt;
+    options.encode_decode = GetParam().encode_decode;
+    start(options);
+  }
+};
+
+TEST_P(DecodeCountTest, SequentialKeepAliveRequestsDecodeOncePerRequest) {
+  start_case();
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+  client.read_until("HELLO\n");
+  constexpr int kRequests = 100;
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string line = "r" + std::to_string(i);
+    ASSERT_TRUE(client.send_all(line + "\n"));
+    // With O3 = No the raw chunk (newline included) is echoed unencoded.
+    const std::string want = "ECHO:" + line + "\n";
+    ASSERT_NE(client.read_until(want).find(want), std::string::npos) << i;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // settle
+  EXPECT_EQ(hooks_->handled.load(), kRequests);
+  EXPECT_EQ(hooks_->decoded.load(),
+            GetParam().encode_decode ? kRequests : 0);
+  EXPECT_EQ(hooks_->empty_decodes.load(), 0);
+  EXPECT_EQ(hooks_->empty_requests.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BufferModes, DecodeCountTest,
+    ::testing::Values(DecodeCase{BufferMgmt::kPooled, true},
+                      DecodeCase{BufferMgmt::kPerRequest, true},
+                      DecodeCase{BufferMgmt::kPooled, false},
+                      DecodeCase{BufferMgmt::kPerRequest, false}),
+    [](const ::testing::TestParamInfo<DecodeCase>& info) {
+      return case_name(info.param);
+    });
+
+// Without a Decode step a burst is one raw chunk, not three requests, so
+// the burst case runs with Decode only.
+class PipelinedBurstTest : public PipelineFixture,
+                           public ::testing::WithParamInterface<BufferMgmt> {
+};
+
+TEST_P(PipelinedBurstTest, RepliesInOrderDecodingOncePerRequest) {
+  ServerOptions options;
+  options.buffer_mgmt = GetParam();
+  start(options);
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+  client.read_until("HELLO\n");
+  ASSERT_TRUE(client.send_all("a\nb\nc\n"));
+  const auto data = client.read_until("ECHO:c\n");
+  const size_t a = data.find("ECHO:a\n");
+  const size_t b = data.find("ECHO:b\n");
+  const size_t c = data.find("ECHO:c\n");
+  ASSERT_NE(a, std::string::npos);
+  ASSERT_NE(b, std::string::npos);
+  ASSERT_NE(c, std::string::npos);
+  EXPECT_LT(a, b);
+  EXPECT_LT(b, c);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // settle
+  EXPECT_EQ(hooks_->decoded.load(), 3);
+  EXPECT_EQ(hooks_->empty_decodes.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BufferModes, PipelinedBurstTest,
+    ::testing::Values(BufferMgmt::kPooled, BufferMgmt::kPerRequest),
+    [](const ::testing::TestParamInfo<BufferMgmt>& info) {
+      return case_name(info.param);
+    });
+
+// ---- lazy read-interest disarm ----------------------------------------------
+//
+// The kernel keeps read interest while the pipeline holds the token; bytes
+// or a FIN arriving during Handle must disarm it on the first readable
+// event instead of letting level-triggered readiness spin the reactor.
+
+class LazyDisarmTest : public PipelineFixture,
+                       public ::testing::WithParamInterface<IoBackend> {
+ protected:
+  void start_backend() {
+    ServerOptions options;
+    options.io_backend = GetParam();
+    start(options);
+    if (server_->effective_io_backend() != GetParam()) {
+      GTEST_SKIP() << "io_uring unavailable on this kernel/build";
+    }
+    hooks_->handle_delay_ms = 50;
+  }
+  // Waits until Handle for the first request is running (and sleeping).
+  void wait_for_handle() {
+    for (int i = 0; i < 1000 && hooks_->handled.load() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(hooks_->handled.load(), 1);
+  }
+  // Bound on reactor dispatches for one request cycle sent mid-Handle: a
+  // handful of socket and completion events, where a level-triggered spin
+  // through the 50 ms Handle would dispatch thousands.
+  static constexpr uint64_t kMaxDispatches = 40;
+};
+
+TEST_P(LazyDisarmTest, RequestSentDuringHandleIsServedInOrder) {
+  start_backend();
+  if (IsSkipped()) return;
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+  client.read_until("HELLO\n");
+  ASSERT_TRUE(client.send_all("one\n"));
+  wait_for_handle();
+  const uint64_t before = server_->events_dispatched();
+  ASSERT_TRUE(client.send_all("two\n"));
+  const auto data = client.read_until("ECHO:two\n");
+  const size_t one = data.find("ECHO:one\n");
+  const size_t two = data.find("ECHO:two\n");
+  ASSERT_NE(one, std::string::npos);
+  ASSERT_NE(two, std::string::npos);
+  EXPECT_LT(one, two);
+  EXPECT_LT(server_->events_dispatched() - before, kMaxDispatches);
+  EXPECT_EQ(hooks_->handled.load(), 2);
+}
+
+TEST_P(LazyDisarmTest, FinDuringHandleClosesAfterTheReply) {
+  start_backend();
+  if (IsSkipped()) return;
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server_->port()));
+  client.read_until("HELLO\n");
+  ASSERT_TRUE(client.send_all("one\n"));
+  wait_for_handle();
+  const uint64_t before = server_->events_dispatched();
+  client.shutdown_write();
+  const auto data = client.read_some();  // reads until the server closes
+  EXPECT_NE(data.find("ECHO:one\n"), std::string::npos);
+  for (int i = 0; i < 300 && server_->connection_count() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server_->connection_count(), 0u);
+  EXPECT_EQ(hooks_->closes.load(), 1);
+  EXPECT_LT(server_->events_dispatched() - before, kMaxDispatches);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, LazyDisarmTest,
+    ::testing::Values(IoBackend::kEpoll, IoBackend::kIoUring),
+    [](const ::testing::TestParamInfo<IoBackend>& info) {
+      return std::string(info.param == IoBackend::kEpoll ? "Epoll"
+                                                         : "IoUring");
+    });
 
 TEST_F(PipelineFixture, LargeReplySurvivesBackpressure) {
   // A reply far larger than the socket buffer must drain via writable
